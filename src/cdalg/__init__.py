@@ -20,13 +20,14 @@ from .linalg import (FloatSpectrum, determinant, eigen_kernel, float_rank,
                      orthogonal_projection, rank, right_mult_matrix,
                      rref_rows, symmetric_eigen_float)
 from .structure import (Decomposition, FloatZdReport, MiddleBand,
-                        VerificationError, ZdReport, alternator_matrix,
-                        annihilator, couple_embedding, couple_failure,
-                        couple_kernel_split, decompose,
+                        PreconditionError, VerificationError, ZdReport,
+                        alternator_matrix, annihilator, couple_embedding,
+                        couple_failure, couple_kernel_split, decompose,
                         float_zero_divisor_test, is_special_couple,
                         is_special_triple, is_special_zero_divisor,
-                        middle_associator_matrix, octonion_embedding,
-                        quaternion_embedding, special_zd_verdict,
+                        kernel_report, middle_associator_matrix,
+                        octonion_embedding, quaternion_embedding,
+                        report_to_dict, special_zd_verdict,
                         zero_divisor_test)
 
 __version__ = "0.1.0"
@@ -38,13 +39,13 @@ __all__ = [
     "FloatSpectrum", "determinant", "eigen_kernel", "float_rank",
     "left_mult_matrix", "matrix_of", "nullspace", "orthogonal_projection",
     "rank", "right_mult_matrix", "rref_rows", "symmetric_eigen_float",
-    "Decomposition", "FloatZdReport", "MiddleBand", "VerificationError",
-    "ZdReport", "alternator_matrix", "annihilator", "couple_embedding",
-    "couple_failure", "couple_kernel_split", "decompose",
+    "Decomposition", "FloatZdReport", "MiddleBand", "PreconditionError",
+    "VerificationError", "ZdReport", "alternator_matrix", "annihilator",
+    "couple_embedding", "couple_failure", "couple_kernel_split", "decompose",
     "float_zero_divisor_test", "is_special_couple", "is_special_triple",
-    "is_special_zero_divisor", "middle_associator_matrix",
-    "octonion_embedding", "quaternion_embedding", "special_zd_verdict",
-    "zero_divisor_test",
+    "is_special_zero_divisor", "kernel_report", "middle_associator_matrix",
+    "octonion_embedding", "quaternion_embedding", "report_to_dict",
+    "special_zd_verdict", "zero_divisor_test",
     "SCHEMA_VERSION", "CandidateFamily", "CatalogEntry",
     "alternative_pure_element", "enumerate_family", "random_element",
     "random_special_couple", "run_catalog", "write_csv", "write_jsonl",

@@ -98,7 +98,7 @@ def mul_coords(x: Sequence, y: Sequence) -> tuple:
     return tuple(out)
 
 
-def _common_denominator(coords: Sequence[Fraction]) -> Tuple[list, int]:
+def common_denominator(coords: Sequence[Fraction]) -> Tuple[list, int]:
     """Integer numerators of `coords` over their least common denominator d,
     and d."""
     d = 1
@@ -201,8 +201,8 @@ class Element:
         if isinstance(other, Element):
             self._check_level(other)
             # the kernel runs on integers; Fractions come back only here
-            x, dx = _common_denominator(self.coords)
-            y, dy = _common_denominator(other.coords)
+            x, dx = common_denominator(self.coords)
+            y, dy = common_denominator(other.coords)
             d = dx * dy
             return Element(self.level, tuple(Fraction(c, d) if c else _ZERO
                                              for c in mul_coords(x, y)))

@@ -11,14 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import IO, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import Element, format_element, tilde
-from .linalg import left_mult_matrix, nullspace
-from .structure import (VerificationError, is_special_couple,
-                        special_zd_verdict, zero_divisor_test)
+from .structure import (PreconditionError, is_special_couple, kernel_report,
+                        report_to_dict, zero_divisor_test)
 
 SCHEMA_VERSION = 1
 
@@ -62,21 +61,9 @@ class CatalogEntry:
     index: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "level": self.level,
-            "a": self.a_text,
-            "b": self.b_text,
-            "is_zero_divisor": self.is_zero_divisor,
-            "criterion_hit": self.criterion_hit,
-            "ker_dim": self.ker_dim,
-            "witness_x": self.witness_x,
-            "witness_y": self.witness_y,
-            "special_couple": self.special_couple,
-            "special_zd": self.special_zd,
-            "family": self.family,
-            "index": self.index,
-        }
+        row = {"schema_version": SCHEMA_VERSION, **asdict(self)}
+        row["a"], row["b"] = row.pop("a_text"), row.pop("b_text")
+        return row
 
 
 # -- random element plumbing ------------------------------------------------
@@ -190,47 +177,24 @@ def enumerate_family(family: CandidateFamily) -> Iterator[Tuple[Element, Element
 def _entry_for(a: Element, b: Element, family: str, index: int) -> CatalogEntry:
     try:
         rep = zero_divisor_test(a, b)
-        wx = format_element(rep.witness[0]) if rep.witness else None
-        wy = format_element(rep.witness[1]) if rep.witness else None
-        return CatalogEntry(a.level, format_element(a), format_element(b),
-                            rep.is_zero_divisor, rep.criterion_hit, rep.ker_dim,
-                            wx, wy, rep.special_couple, rep.special_zd,
-                            family, index)
-    except ValueError:
+    except PreconditionError:
         # outside the criterion's preconditions (typically non-alternative
-        # entries): fall back to the direct kernel and leave the
-        # criterion verdict null
-        pair = Element.pair(a, b)
-        kernel = nullspace(left_mult_matrix(pair))
-        wx = wy = None
-        special_zd: Optional[bool] = None
-        if kernel:
-            w = Element(pair.level, kernel[0])
-            if pair * w:
-                raise VerificationError("kernel vector fails to annihilate")
-            x, y = w.halves()
-            wx, wy = format_element(x), format_element(y)
-            special_zd = special_zd_verdict(a, b, kernel, pair.level)
-        return CatalogEntry(a.level, format_element(a), format_element(b),
-                            bool(kernel), None, len(kernel), wx, wy,
-                            is_special_couple(a, b), special_zd, family, index)
+        # entries): the direct kernel decides and the criterion stays null
+        rep = kernel_report(a, b)
+    fields = report_to_dict(rep)
+    return CatalogEntry(a_text=fields.pop("a"), b_text=fields.pop("b"),
+                        family=family, index=index, **fields)
 
 
-def run_catalog(family: CandidateFamily,
-                jsonl_out: Optional[IO[str]] = None,
-                csv_out: Optional[IO[str]] = None) -> Tuple[Tuple[CatalogEntry, ...], dict]:
+def run_catalog(family: CandidateFamily) -> Tuple[Tuple[CatalogEntry, ...], dict]:
     """Test every candidate in the family; returns (entries, summary).
 
     summary counts zero divisors, special zero divisors, and criterion
     mismatches; caller code may rely on mismatches being zero because the
     per-pair test raises before producing a mismatched entry.
     """
-    entries: List[CatalogEntry] = []
-    for index, (a, b) in enumerate(enumerate_family(family)):
-        try:
-            entries.append(_entry_for(a, b, family.kind, index))
-        except OSError as exc:
-            raise OSError(f"catalog entry {index} failed: {exc}") from exc
+    entries = tuple(_entry_for(a, b, family.kind, index)
+                    for index, (a, b) in enumerate(enumerate_family(family)))
     summary = {
         "entries": len(entries),
         "zero_divisors": sum(1 for e in entries if e.is_zero_divisor),
@@ -239,11 +203,7 @@ def run_catalog(family: CandidateFamily,
             1 for e in entries
             if e.criterion_hit is not None and e.criterion_hit != e.is_zero_divisor),
     }
-    if jsonl_out is not None:
-        write_jsonl(entries, jsonl_out)
-    if csv_out is not None:
-        write_csv(entries, csv_out)
-    return tuple(entries), summary
+    return entries, summary
 
 
 def write_jsonl(entries: Sequence[CatalogEntry], fh: IO[str]) -> None:

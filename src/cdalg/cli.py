@@ -30,7 +30,7 @@ from .linalg import (left_mult_matrix, mat_add, mat_mul, mat_scale, mat_vec,
 from .structure import (VerificationError, annihilator, couple_embedding,
                         couple_kernel_split, decompose, float_zero_divisor_test,
                         is_special_triple, quaternion_embedding,
-                        zero_divisor_test)
+                        report_to_dict, zero_divisor_test)
 
 DEFAULT_LEVEL_CAP = 8
 
@@ -154,19 +154,7 @@ def _cmd_decompose(cfg: CliConfig, args) -> int:
 
 
 def _report_dict(rep) -> dict:
-    return {
-        "level": rep.a.level,
-        "pair_level": rep.pair_level,
-        "a": format_element(rep.a),
-        "b": format_element(rep.b),
-        "is_zero_divisor": rep.is_zero_divisor,
-        "criterion_hit": rep.criterion_hit,
-        "ker_dim": rep.ker_dim,
-        "witness_x": None if rep.witness is None else format_element(rep.witness[0]),
-        "witness_y": None if rep.witness is None else format_element(rep.witness[1]),
-        "special_couple": rep.special_couple,
-        "special_zd": rep.special_zd,
-    }
+    return {**report_to_dict(rep), "pair_level": rep.pair_level}
 
 
 def _cmd_zd(cfg: CliConfig, args) -> int:

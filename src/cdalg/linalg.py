@@ -2,7 +2,7 @@
 
 Exact paths work on tuples of Fractions via fraction-free (Bareiss)
 elimination, so ranks, determinants, nullspaces and rational eigenspaces
-are computed without rounding.  Float paths (Jacobi eigensolver, pivoted
+are computed without rounding.  Float paths (symmetric eigensolver, pivoted
 rank) use numpy and report explicit error bounds instead of exactness.
 """
 
@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Element
+from .algebra import Element, common_denominator
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Vector, ...]
@@ -94,11 +93,8 @@ def _integer_rows(A: Matrix) -> Tuple[List[List[int]], List[int]]:
     nullspace nor the pivot structure."""
     rows, scales = [], []
     for row in A:
-        m = 1
-        for c in row:
-            d = c.denominator
-            m = m * d // gcd(m, d)
-        rows.append([int(c * m) for c in row])
+        ints, m = common_denominator(row)
+        rows.append(ints)
         scales.append(m)
     return rows, scales
 
@@ -257,49 +253,22 @@ class FloatSpectrum:
 
 
 def symmetric_eigen_float(M: Matrix, cluster_gap: float = 1e-9) -> FloatSpectrum:
-    """Cyclic Jacobi eigensolve of an exactly symmetric matrix.
+    """Eigensolve of an exactly symmetric matrix with numpy's eigh.
 
-    Symmetry is verified on the exact entries before any rounding.  Sweeps
-    stop once the squared off-diagonal mass is below 1e-24; eigenvalues
-    closer than cluster_gap merge into one cluster.
+    Symmetry is verified on the exact entries before any rounding;
+    eigenvalues closer than cluster_gap merge into one cluster.
     """
     n = len(M)
     for i in range(n):
         for j in range(i + 1, n):
             if M[i][j] != M[j][i]:
                 raise ValueError(f"matrix not symmetric at ({i},{j})")
-    A = mat_to_float(M)
-    V = np.eye(n)
-    for _ in range(100):
-        off2 = 2.0 * float(np.sum(np.triu(A, 1) ** 2))
-        if off2 < 1e-24:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if theta >= 0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                V = V @ rot
-    lams = np.diag(A).copy()
     Mf = mat_to_float(M)
-    residual = float(np.max(np.abs(Mf @ V - V @ np.diag(lams)))) if n else 0.0
-    order = np.argsort(lams)
+    lams, V = np.linalg.eigh(Mf)     # eigenvalues ascending
+    residual = float(np.max(np.abs(Mf @ V - V * lams)))
     clusters: List[Tuple[float, int]] = []
     bucket: List[float] = []
-    for idx in order:
-        lam = float(lams[idx])
+    for lam in map(float, lams):
         if bucket and lam - bucket[-1] > cluster_gap:
             clusters.append((sum(bucket) / len(bucket), len(bucket)))
             bucket = []

@@ -24,11 +24,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
-from .algebra import (Element, associator, is_alternative, mul_coords, tilde)
+from .algebra import (Element, associator, common_denominator, format_element,
+                      is_alternative, mul_coords, tilde)
 from .linalg import (Matrix, OperatorMatrix, SubspaceBasis, eigen_kernel,
-                     float_rank, identity, left_mult_matrix, mat_add, mat_mul,
-                     mat_vec, matrix_of, nullspace, right_mult_matrix,
-                     rref_rows, stack_rows, symmetric_eigen_float)
+                     float_rank, identity, left_mult_matrix, mat_add, mat_vec,
+                     matrix_of, nullspace, right_mult_matrix, rref_rows,
+                     stack_rows, symmetric_eigen_float)
 
 import numpy as np
 
@@ -39,6 +40,11 @@ class VerificationError(AssertionError):
     Distinct from ValueError preconditions: seeing this means either a bug
     or a genuine counterexample, and both deserve a loud stop.
     """
+
+
+class PreconditionError(ValueError):
+    """A pair lies outside the zero-divisor criterion's preconditions: an
+    entry is zero, has nonzero trace, or is not alternative."""
 
 
 # -- small helpers -------------------------------------------------------------
@@ -58,14 +64,8 @@ def _same_span(xs: SubspaceBasis, ys: SubspaceBasis) -> bool:
 def _primitive(a: Element) -> Element:
     """Rescale to integer coordinates with content 1; every kernel and every
     normalized eigenvalue below is invariant under this."""
-    m = 1
-    for c in a.coords:
-        m = m * c.denominator // gcd(m, c.denominator)
-    ints = [int(c * m) for c in a.coords]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return a * Fraction(m, g)
+    nums, d = common_denominator(a.coords)
+    return a * Fraction(d, gcd(*nums))
 
 
 def alternator_matrix(a: Element) -> OperatorMatrix:
@@ -158,6 +158,14 @@ def couple_failure(a: Element, b: Element) -> Optional[str]:
     if a * b != -(b * a):
         return "entries do not anticommute"
     return None
+
+
+# couple_failure's first six clauses: the criterion's preconditions
+_PRECONDITION_CLAUSES = frozenset((
+    "first entry is zero", "second entry is zero",
+    "first entry has nonzero trace", "second entry has nonzero trace",
+    "first entry is not alternative", "second entry is not alternative",
+))
 
 
 def is_special_couple(a: Element, b: Element) -> bool:
@@ -271,9 +279,8 @@ def decompose(a: Element) -> Decomposition:
     n2 = ap.norm_sq()          # an integer by construction
     gens = quaternion_embedding(a)
     gen_rows = _coord_rows((gens[0], tilde(ap), ap, gens[3]))
-    L = left_mult_matrix(ap)
-    L2 = mat_mul(L, L)
-    ker_l = nullspace(L)
+    L2 = matrix_of(a.level, lambda v: ap * (ap * v))
+    ker_l = nullspace(left_mult_matrix(ap))
     # eigenvectors at -|a|^2 outside the quaternion copy
     ker_t = nullspace(stack_rows(
         mat_add(L2, identity(dim, Fraction(n2))), gen_rows))
@@ -326,19 +333,39 @@ class ZdReport:
     criterion_hit is the eigenvalue test on L_{a+b}^2 restricted outside
     the couple's quaternion copy; is_zero_divisor is the direct exact
     kernel verdict at pair_level.  Construction fails loudly if the two
-    ever disagree, so stored reports always have them equal.  witness is
-    an annihilating pair (x, y), present exactly for zero divisors;
+    ever disagree, so stored reports always have them equal.
+    criterion_hit is None for pairs outside the criterion's preconditions
+    (see kernel_report), where only the kernel speaks.  witness is an
+    annihilating pair (x, y), present exactly for zero divisors;
     special_zd is None when there is nothing to classify.
     """
     a: Element
     b: Element
     pair_level: int
     is_zero_divisor: bool
-    criterion_hit: bool
+    criterion_hit: Optional[bool]
     ker_dim: int
     witness: Optional[Tuple[Element, Element]]
     special_couple: bool
     special_zd: Optional[bool]
+
+
+def report_to_dict(rep: ZdReport) -> dict:
+    """The report's fields as canonical text and JSON scalars, keyed as in
+    the catalog schema; level is the level of a and b themselves."""
+    x, y = rep.witness or (None, None)
+    return {
+        "level": rep.a.level,
+        "a": format_element(rep.a),
+        "b": format_element(rep.b),
+        "is_zero_divisor": rep.is_zero_divisor,
+        "criterion_hit": rep.criterion_hit,
+        "ker_dim": rep.ker_dim,
+        "witness_x": None if x is None else format_element(x),
+        "witness_y": None if y is None else format_element(y),
+        "special_couple": rep.special_couple,
+        "special_zd": rep.special_zd,
+    }
 
 
 def _special_triple_witness(a: Element, y: Element, b: Element) -> bool:
@@ -353,9 +380,12 @@ def special_zd_verdict(a: Element, b: Element, kernel: SubspaceBasis,
                        pair_level: int) -> bool:
     """Whether every annihilating pair drawn from the given kernel basis
     makes {a, witness-half, b} a special triple.  The triple conditions are
-    linear in the witness, so the basis settles the quantifier."""
-    if couple_failure(a, b) is not None:
-        return False
+    linear in the witness, so the basis settles the quantifier.
+
+    Precondition: (a, b) is a special couple (couple_failure(a, b) is
+    None); for any other pair no triple is special and the answer is False
+    without calling this.
+    """
     return all(
         _special_triple_witness(a, Element(pair_level, vec).halves()[1], b)
         for vec in kernel)
@@ -364,24 +394,23 @@ def special_zd_verdict(a: Element, b: Element, kernel: SubspaceBasis,
 def zero_divisor_test(a: Element, b: Element) -> ZdReport:
     """Dual-path zero-divisor verdict for the pair (a, b) at the next level.
 
-    Preconditions: both trace zero and alternative.  Unequal norms give an
-    immediate negative (verified against the exact kernel).  Otherwise the
-    eigenvalue criterion and the direct kernel are both computed exactly
-    and must agree, including in dimension; the witness is rebuilt from
-    the first criterion eigenvector and re-multiplied to exactly zero.
+    Preconditions: both nonzero, trace zero and alternative; a pair that
+    fails one raises PreconditionError (kernel_report covers it), and
+    entries at different levels raise a plain ValueError.  The couple
+    clauses are evaluated once, and their verdict is reported.  Unequal
+    norms give an immediate negative (verified against the exact kernel).
+    Otherwise the eigenvalue criterion and the direct kernel are both
+    computed exactly and must agree, including in dimension; the witness
+    is rebuilt from the first criterion eigenvector and re-multiplied to
+    exactly zero.
     """
     if a.level != b.level:
         raise ValueError("pair entries must share a level")
-    if not a or not b:
-        raise ValueError("pair entries must be nonzero")
-    if a.trace() != 0 or b.trace() != 0:
-        raise ValueError("pair entries must have zero trace")
-    if not is_alternative(a):
-        raise ValueError("first entry is not alternative")
-    if not is_alternative(b):
-        raise ValueError("second entry is not alternative")
+    fail = couple_failure(a, b)
+    if fail in _PRECONDITION_CLAUSES:
+        raise PreconditionError(fail)
+    couple = fail is None
     pair = Element.pair(a, b)
-    couple = is_special_couple(a, b)
     if a.norm_sq() != b.norm_sq():
         kernel = nullspace(left_mult_matrix(pair))
         if kernel:
@@ -391,7 +420,7 @@ def zero_divisor_test(a: Element, b: Element) -> ZdReport:
     n2 = a.norm_sq()
     dim = 1 << a.level
     s = a + b
-    L2 = mat_mul(left_mult_matrix(s), left_mult_matrix(s))
+    L2 = matrix_of(a.level, lambda v: s * (s * v))
     # criterion space: eigenvectors of L_{a+b}^2 at -2|a|^2, restricted to
     # the orthogonal complement of {e0, a, b, ab} (those four are always
     # eigenvectors there for orthogonal couples, so the unrestricted test
@@ -426,9 +455,30 @@ def zero_divisor_test(a: Element, b: Element) -> ZdReport:
         if associator(s, s, y) != (-2 * a.inner(b)) * y:
             raise VerificationError("witness violates the alternator relation")
         witness = (x, y)
-        special_zd = special_zd_verdict(a, b, kernel, pair.level)
+        special_zd = couple and special_zd_verdict(a, b, kernel, pair.level)
     return ZdReport(a, b, pair.level, is_zd, criterion_hit, len(kernel),
                     witness, couple, special_zd)
+
+
+def kernel_report(a: Element, b: Element) -> ZdReport:
+    """Direct-kernel verdict for a pair outside the criterion's
+    preconditions, where zero_divisor_test raises PreconditionError.
+
+    Such a pair fails one of couple_failure's first clauses, so it is no
+    special couple and none of its zero divisors is special.  The witness
+    is the two halves of the first kernel vector, multiplied back to
+    exactly zero; criterion_hit is None.
+    """
+    pair = Element.pair(a, b)
+    kernel = nullspace(left_mult_matrix(pair))
+    witness = None
+    if kernel:
+        w = Element(pair.level, kernel[0])
+        if pair * w:
+            raise VerificationError("kernel vector fails to annihilate")
+        witness = w.halves()
+    return ZdReport(a, b, pair.level, bool(kernel), None, len(kernel),
+                    witness, False, False if kernel else None)
 
 
 def is_special_zero_divisor(a: Element, b: Element) -> bool:

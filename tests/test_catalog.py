@@ -7,7 +7,9 @@ import random
 
 import pytest
 
-from cdalg.algebra import Element, format_element, is_alternative, parse_element
+from cdalg import catalog
+from cdalg.algebra import (Element, LevelError, format_element, is_alternative,
+                           parse_element)
 from cdalg.catalog import (SCHEMA_VERSION, CandidateFamily, CatalogEntry,
                            _entry_for, alternative_pure_element,
                            enumerate_family, random_element,
@@ -153,6 +155,15 @@ def test_fallback_for_non_alternative_entries():
         x = parse_element(entry.witness_x, 4)
         y = parse_element(entry.witness_y, 4)
         assert not Element.pair(a, b) * Element.pair(x, y)
+
+
+def test_only_precondition_failures_fall_back(monkeypatch):
+    # any other ValueError is a fault of the run, not a non-alternative pair
+    def broken(a, b):
+        raise LevelError("levels do not match")
+    monkeypatch.setattr(catalog, "zero_divisor_test", broken)
+    with pytest.raises(LevelError):
+        run_catalog(family("basis_pairs", 3, max_index=2))
 
 
 # -- persistence ----------------------------------------------------------------------

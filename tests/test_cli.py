@@ -99,6 +99,15 @@ def test_zd_json_report(capsys):
     assert payload["pair_level"] == 4
 
 
+def test_zd_json_payload_pinned(capsys):
+    code, out, _ = run(capsys, "zd", "-n", "3", "e1", "e2", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"a": "e1", "b": "e2", "criterion_hit": true, "is_zero_divisor": true, '
+        '"ker_dim": 4, "level": 3, "pair_level": 4, "special_couple": true, '
+        '"special_zd": true, "witness_x": "e7", "witness_y": "e4"}\n')
+
+
 def test_zd_precondition(capsys):
     code, _, err = run(capsys, "zd", "-n", "4", "e1+e10", "e2")
     assert code == 3

@@ -3,6 +3,7 @@ dual-path zero-divisor test."""
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from cdalg.algebra import (Element, associator, format_element, parse_element,
                            swap_halves, tilde)
 from cdalg.catalog import random_element, random_special_couple
 from cdalg.linalg import left_mult_matrix, mat_vec, nullspace, rref_rows
-from cdalg.structure import (VerificationError, annihilator,
-                             alternator_matrix, couple_embedding,
+from cdalg.structure import (PreconditionError, VerificationError,
+                             annihilator, alternator_matrix, couple_embedding,
                              couple_failure, couple_kernel_split, decompose,
                              float_zero_divisor_test, is_special_couple,
                              is_special_triple, is_special_zero_divisor,
@@ -206,6 +207,21 @@ def test_decompose_summands_are_orthogonal():
                         assert x.inner(y) == 0
 
 
+def test_decompose_dense_level5_keeps_bands_whole():
+    # dense coefficients up to +-50: the float spectrum must neither split a
+    # 4-dimensional band nor raise numpy warnings
+    a = parse_element(
+        "7*e1-32*e2+10*e3-16*e4+34*e5+28*e6+46*e7-43*e8+4*e9+44*e10-18*e11"
+        "-5*e12+12*e13+40*e14-6*e15+48*e17-42*e18-38*e19-16*e20-39*e21"
+        "-46*e22+47*e23-2*e24+41*e25+12*e26+19*e27+37*e28-40*e29-50*e30"
+        "+41*e31", 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d = decompose(a)
+    assert d.dims() == (4, 0, 0, (4,) * 7)
+    assert all(band.exact is None for band in d.middle)
+
+
 def test_decompose_needs_doubly_pure():
     with pytest.raises(ValueError):
         decompose(parse_element("e0+e1", 4))
@@ -259,14 +275,17 @@ def test_zero_divisor_deep_pair():
 
 def test_zero_divisor_preconditions():
     e1 = parse_element("e1", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as mismatch:
         zero_divisor_test(e1, parse_element("e1", 4))
-    with pytest.raises(ValueError):
+    assert not isinstance(mismatch.value, PreconditionError)
+    with pytest.raises(PreconditionError, match="second entry is zero"):
         zero_divisor_test(e1, Element.zero(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="first entry has nonzero trace"):
         zero_divisor_test(parse_element("e0+e1", 3), e1)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="first entry is not alternative"):
         zero_divisor_test(parse_element("e1+e10", 4), parse_element("e2", 4))
+    with pytest.raises(PreconditionError, match="second entry is not alternative"):
+        zero_divisor_test(parse_element("e2", 4), parse_element("e1+e10", 4))
 
 
 def test_special_zero_divisor_wrapper():

@@ -307,22 +307,6 @@ def is_alternative(a: Element) -> bool:
     return True
 
 
-def is_special(a: Element) -> bool:
-    """Alternative, trace zero and norm one (the unnormalized variant is
-    is_special_up_to_norm)."""
-    return a.trace() == 0 and a.norm_sq() == 1 and is_alternative(a)
-
-
-def is_special_up_to_norm(a: Element) -> bool:
-    """Alternative, trace zero, nonzero; no unit-norm requirement.
-
-    Rational coordinates rarely admit exact unit normalization, and every
-    kernel computed downstream is invariant under real scaling, so this is
-    the predicate the analysis layer actually uses.
-    """
-    return bool(a) and a.trace() == 0 and is_alternative(a)
-
-
 # -- text form ----------------------------------------------------------------
 #
 # element  := term (('+'|'-') term)*

@@ -1,7 +1,7 @@
 """Linear algebra for multiplication operators on the level-n algebras.
 
 Exact paths work on tuples of Fractions via fraction-free (Bareiss)
-elimination, so ranks, determinants, nullspaces and rational eigenspaces
+elimination, so ranks, nullspaces, projections and rational eigenspaces
 are computed without rounding.  Float paths (symmetric eigensolver, pivoted
 rank) use numpy and report explicit error bounds instead of exactness.
 """
@@ -57,10 +57,6 @@ def mat_sub(A: Matrix, B: Matrix) -> Matrix:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def mat_scale(A: Matrix, s: Fraction) -> Matrix:
-    return tuple(tuple(s * a for a in row) for row in A)
-
-
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     Bt = tuple(zip(*B))
     return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt)
@@ -69,10 +65,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 def mat_vec(A: Matrix, v: Sequence[Fraction]) -> Vector:
     return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
-
-
-def transpose(A: Matrix) -> Matrix:
-    return tuple(zip(*A))
 
 
 def stack_rows(*blocks: Matrix) -> Matrix:
@@ -158,24 +150,6 @@ def rank(A: Matrix) -> int:
     return len(piv)
 
 
-def determinant(A: Matrix) -> Fraction:
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return Fraction(1)
-    W, scales = _integer_rows(A)
-    piv, sign = _echelon(W)
-    if len(piv) < n:
-        return Fraction(0)
-    # after full-rank Bareiss the last pivot is the determinant of the
-    # row-scaled integer matrix, up to the swap sign
-    d = Fraction(sign * W[n - 1][n - 1])
-    for s in scales:
-        d /= s
-    return d
-
-
 def nullspace(A: Matrix) -> SubspaceBasis:
     """Canonical exact nullspace basis: one vector per free column, taken in
     ascending column order, each with unit entry at its free column and the
@@ -215,23 +189,24 @@ def eigen_kernel(M: Matrix, mu: Fraction) -> SubspaceBasis:
     return nullspace(mat_sub(M, identity(n, Fraction(mu))))
 
 
-def orthogonal_projection(vectors: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Exact projector onto the orthogonal complement of the span of the
-    given pairwise-orthogonal nonzero vectors."""
-    vecs = [tuple(Fraction(c) for c in v) for v in vectors]
+def project_out(v: Sequence[Fraction],
+                vectors: Sequence[Sequence[Fraction]]) -> Vector:
+    """Exact projection of v onto the orthogonal complement of the span of
+    the given pairwise-orthogonal nonzero vectors: v - sum <v,g>/|g|^2 g."""
+    vecs = [tuple(Fraction(c) for c in g) for g in vectors]
     for i, u in enumerate(vecs):
         for w in vecs[i + 1:]:
             if sum(p * q for p, q in zip(u, w)) != 0:
                 raise ValueError("projection needs pairwise orthogonal vectors")
-    n = len(vecs[0]) if vecs else 0
-    norms = [sum(c * c for c in v) for v in vecs]
+    norms = [sum(c * c for c in g) for g in vecs]
     if any(n2 == 0 for n2 in norms):
         raise ValueError("projection needs nonzero vectors")
-    return tuple(
-        tuple(Fraction(1 if i == j else 0)
-              - sum(v[i] * v[j] / n2 for v, n2 in zip(vecs, norms))
-              for j in range(n))
-        for i in range(n))
+    out = [Fraction(c) for c in v]
+    for g, n2 in zip(vecs, norms):
+        f = sum(p * q for p, q in zip(v, g)) / n2
+        if f:
+            out = [c - f * x for c, x in zip(out, g)]
+    return tuple(out)
 
 
 # -- float paths ---------------------------------------------------------------

@@ -26,10 +26,10 @@ from typing import Optional, Sequence, Tuple
 
 from .algebra import (Element, associator, common_denominator, format_element,
                       is_alternative, mul_coords, tilde)
-from .linalg import (Matrix, OperatorMatrix, SubspaceBasis, eigen_kernel,
-                     float_rank, identity, left_mult_matrix, mat_add, mat_vec,
-                     matrix_of, nullspace, right_mult_matrix, rref_rows,
-                     stack_rows, symmetric_eigen_float)
+from .linalg import (Matrix, SubspaceBasis, eigen_kernel, float_rank,
+                     identity, left_mult_matrix, mat_add, mat_vec, matrix_of,
+                     nullspace, right_mult_matrix, rref_rows, stack_rows,
+                     symmetric_eigen_float)
 
 import numpy as np
 
@@ -66,19 +66,6 @@ def _primitive(a: Element) -> Element:
     normalized eigenvalue below is invariant under this."""
     nums, d = common_denominator(a.coords)
     return a * Fraction(d, gcd(*nums))
-
-
-def alternator_matrix(a: Element) -> OperatorMatrix:
-    """Matrix of y -> (a, a, y), the failure of a to act alternatively."""
-    return matrix_of(a.level, lambda x: associator(a, a, x))
-
-
-def middle_associator_matrix(a: Element, b: Element) -> OperatorMatrix:
-    """Matrix of y -> (a, y, b) for a special couple (up to norm)."""
-    fail = couple_failure(a, b)
-    if fail is not None:
-        raise ValueError(f"not a special couple: {fail}")
-    return matrix_of(a.level, lambda x: associator(a, x, b))
 
 
 # -- annihilators ---------------------------------------------------------------
@@ -479,16 +466,6 @@ def kernel_report(a: Element, b: Element) -> ZdReport:
         witness = w.halves()
     return ZdReport(a, b, pair.level, bool(kernel), None, len(kernel),
                     witness, False, False if kernel else None)
-
-
-def is_special_zero_divisor(a: Element, b: Element) -> bool:
-    """True iff every annihilating pair of the zero divisor (a, b) induces a
-    special triple.  Checks all kernel basis vectors; the defining property
-    is linear in the witness, so the basis decides it."""
-    report = zero_divisor_test(a, b)
-    if not report.is_zero_divisor:
-        raise ValueError("pair is not a zero divisor")
-    return bool(report.special_zd)
 
 
 # -- float path -------------------------------------------------------------------

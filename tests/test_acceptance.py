@@ -9,10 +9,11 @@ producers so a re-run exercises the full check, not just the formatting.
 import random
 import timeit
 
-from cdalg import (Element, associator, cli, couple_kernel_split, decompose,
+from cdalg import (Element, associator, couple_kernel_split, decompose,
                    float_zero_divisor_test, is_special_couple, parse_element,
                    format_element, random_element, random_special_couple,
                    tilde, zero_divisor_test)
+from cdalg.suites import run_suite
 
 _REPORTS = {}
 
@@ -49,10 +50,8 @@ def _report_norm_boundary():
 def _report_identity_suite():
     lines = []
     for level in (4, 5):
-        cfg = cli.CliConfig(level=level, seed=407, trials=50,
-                            tolerance=1e-9, out=None, fmt="text")
-        for name, check in cli._chapter1_checks():
-            count = check(random.Random(cfg.seed), cfg)
+        for name, count in run_suite("chapter1", level, 407, 50):
+            assert isinstance(count, int), (name, count)
             lines.append(f"level {level} {name}: {count} checks")
     return "\n".join(lines)
 

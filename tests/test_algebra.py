@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from cdalg.algebra import (Element, LevelError, ParseError, associator,
                            commutator, conj_coords, format_element,
-                           is_alternative, is_special, is_special_up_to_norm,
-                           mul_coords, parse_element, swap_halves, tilde)
+                           is_alternative, mul_coords, parse_element,
+                           swap_halves, tilde)
 
 
 def e(level, i):
@@ -268,15 +268,6 @@ def test_doubly_pure_predicate():
     assert not parse_element("e0+e1", 4).is_doubly_pure()
     with pytest.raises(LevelError):
         Element.basis(0, 0).is_doubly_pure()
-
-
-def test_special_predicates():
-    assert is_special(e(3, 1))
-    assert not is_special(2 * e(3, 1))
-    assert is_special_up_to_norm(2 * e(3, 1))
-    assert not is_special(Element.unit(3))
-    assert not is_special_up_to_norm(parse_element("e1+e10", 4))
-    assert not is_special_up_to_norm(Element.zero(3))
 
 
 # -- grammar ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cdalg import cli
+from cdalg import cli, suites
 
 
 def run(capsys, *argv):
@@ -190,18 +190,51 @@ def test_verify_deterministic(capsys):
 
 def test_verify_level_guard(capsys):
     code, _, err = run(capsys, "verify", "--suite", "chapter2", "-n", "2")
-    assert code == 3
+    assert code == 3 and err == "error: chapter2 suite needs level >= 3\n"
+    code, _, err = run(capsys, "verify", "--suite", "chapter1", "-n", "1")
+    assert code == 3 and err == "error: chapter1 suite needs level >= 2\n"
+
+
+def test_verify_chapter2_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "chapter2", "-n", "4",
+                       "--trials", "10", "--seed", "3")
+    assert code == 0
+    assert out == (
+        "PASS couple multiplication tables (2 checks)\n"
+        "PASS couple kernel splitting (1 checks)\n"
+        "PASS projected alternator identity (2 checks)\n"
+        "PASS restricted annihilation equivalence (10 checks)\n"
+        "PASS criterion agrees with the kernel (10 checks)\n"
+        "PASS kernel dimension bound (10 checks)\n"
+        "PASS special triple symmetry (10 checks)\n"
+        "PASS alternative sums give special zero divisors (1 checks)\n")
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
-    def doomed(rng, cfg):
-        raise cli.VerificationError("x=e1 y=e2")
+    def doomed(rng, level, trials):
+        raise suites.VerificationError("x=e1 y=e2")
 
-    monkeypatch.setattr(cli, "_core_checks",
-                        lambda: [("always fails", doomed)])
-    code, out, _ = run(capsys, "verify", "--suite", "core_identities", "-n", "2")
+    def counts(rng, level, trials):
+        return level * trials
+
+    monkeypatch.setitem(suites.SUITES, "core_identities",
+                        (0, lambda level: [("always fails", doomed),
+                                           ("still runs", counts)]))
+    code, out, _ = run(capsys, "verify", "--suite", "core_identities", "-n", "2",
+                       "--trials", "7")
     assert code == 1
-    assert out == "FAIL always fails: x=e1 y=e2\n"
+    assert out == "FAIL always fails: x=e1 y=e2\nPASS still runs (14 checks)\n"
+
+
+def test_verify_does_not_report_bugs_as_failures(capsys, monkeypatch):
+    # a plain AssertionError is a bug in a check, not a counterexample
+    def buggy(rng, level, trials):
+        raise AssertionError("bug")
+
+    monkeypatch.setitem(suites.SUITES, "core_identities",
+                        (0, lambda level: [("buggy", buggy)]))
+    with pytest.raises(AssertionError, match="bug"):
+        cli.main(["verify", "--suite", "core_identities", "-n", "2"])
 
 
 def test_console_script_entry():

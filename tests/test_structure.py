@@ -11,13 +11,12 @@ import pytest
 from cdalg.algebra import (Element, associator, format_element, parse_element,
                            swap_halves, tilde)
 from cdalg.catalog import random_element, random_special_couple
-from cdalg.linalg import left_mult_matrix, mat_vec, nullspace, rref_rows
+from cdalg.linalg import rref_rows
 from cdalg.structure import (PreconditionError, VerificationError,
-                             annihilator, alternator_matrix, couple_embedding,
-                             couple_failure, couple_kernel_split, decompose,
+                             annihilator, couple_embedding, couple_failure,
+                             couple_kernel_split, decompose,
                              float_zero_divisor_test, is_special_couple,
-                             is_special_triple, is_special_zero_divisor,
-                             middle_associator_matrix, octonion_embedding,
+                             is_special_triple, octonion_embedding,
                              quaternion_embedding, zero_divisor_test)
 
 
@@ -136,11 +135,10 @@ def test_kernel_split_golden_couple():
     a, b = parse_element("e1", 4), parse_element("e10", 4)
     plus, minus = couple_kernel_split(a, b)
     assert (len(plus), len(minus)) == (4, 4)
-    s_mat = middle_associator_matrix(a, b)
-    for v in plus + minus:
-        assert all(c == 0 for c in mat_vec(s_mat, v.coords))
-        assert v.inner(a) == 0 and v.inner(b) == 0
     zero = Element.zero(4)
+    for v in plus + minus:
+        assert associator(a, v, b) == zero
+        assert v.inner(a) == 0 and v.inner(b) == 0
     for v in plus:
         assert (a + b) * v == zero
     for v in minus:
@@ -227,14 +225,6 @@ def test_decompose_needs_doubly_pure():
         decompose(parse_element("e0+e1", 4))
 
 
-def test_alternator_matrix_vanishes_for_alternative():
-    a = parse_element("e1+e2", 3)
-    M = alternator_matrix(a)
-    assert all(c == 0 for row in M for c in row)
-    x = parse_element("e1+e10", 4)
-    assert any(c != 0 for row in alternator_matrix(x) for c in row)
-
-
 # -- zero-divisor verdicts --------------------------------------------------------------
 
 def test_zero_divisor_golden_couple():
@@ -286,12 +276,6 @@ def test_zero_divisor_preconditions():
         zero_divisor_test(parse_element("e1+e10", 4), parse_element("e2", 4))
     with pytest.raises(PreconditionError, match="second entry is not alternative"):
         zero_divisor_test(parse_element("e2", 4), parse_element("e1+e10", 4))
-
-
-def test_special_zero_divisor_wrapper():
-    assert is_special_zero_divisor(parse_element("e1", 3), parse_element("e2", 3))
-    with pytest.raises(ValueError):
-        is_special_zero_divisor(parse_element("e1", 3), parse_element("e1", 3))
 
 
 def test_all_octonion_basis_couples_are_divisors():

@@ -4,7 +4,7 @@ verification suites over the level-n algebras.
 Every command prints deterministically for fixed arguments: canonical
 element text, sorted JSON keys, no timestamps.  Exit codes: 0 success,
 1 property or verdict failure, 2 usage or parse error, 3 precondition
-violation.
+violation, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -281,7 +281,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_level(args.level)
-        return args.func(args)
+        code = args.func(args)
+        # output still buffered must fail here, where it is caught, and not
+        # at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`cdalg ... | head`); send whatever is
+        # left to devnull so that the exit-time flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, what a shell reports for a killed writer
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -3,18 +3,20 @@
 Exact paths work on tuples of Fractions via fraction-free (Bareiss)
 elimination, so ranks, nullspaces, projections and rational eigenspaces
 are computed without rounding.  Float paths (symmetric eigensolver, pivoted
-rank) use numpy and report explicit error bounds instead of exactness.
+rank) use numpy and report explicit error bounds instead of exactness; they
+import numpy when called, so the exact paths never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 from .algebra import Element, common_denominator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Vector, ...]
@@ -75,34 +77,29 @@ def stack_rows(*blocks: Matrix) -> Matrix:
 
 
 def mat_to_float(A: Matrix) -> np.ndarray:
+    import numpy as np
     return np.array([[float(x) for x in row] for row in A], dtype=float)
 
 
 # -- fraction-free elimination -------------------------------------------------
 
-def _integer_rows(A: Matrix) -> Tuple[List[List[int]], List[int]]:
+def _integer_rows(A: Matrix) -> List[List[int]]:
     """Clear denominators row by row; scaling rows changes neither the
     nullspace nor the pivot structure."""
-    rows, scales = [], []
-    for row in A:
-        ints, m = common_denominator(row)
-        rows.append(ints)
-        scales.append(m)
-    return rows, scales
+    return [common_denominator(row)[0] for row in A]
 
 
-def _echelon(W: List[List[int]]) -> Tuple[List[int], int]:
+def _echelon(W: List[List[int]]) -> List[int]:
     """In-place single-step Bareiss echelon form.
 
     Pivot choice is deterministic: columns left to right, first row with a
     nonzero entry.  Every division below is exact because each updated
     entry is a minor of the original integer matrix divided by the
-    previous pivot.  Returns (pivot columns, row-swap sign).
+    previous pivot.  Returns the pivot columns.
     """
     m = len(W)
     ncols = len(W[0]) if m else 0
     piv_cols: List[int] = []
-    sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
@@ -113,7 +110,6 @@ def _echelon(W: List[List[int]]) -> Tuple[List[int], int]:
             continue
         if p != r:
             W[r], W[p] = W[p], W[r]
-            sign = -sign
         Wr = W[r]
         pivot = Wr[c]
         for i in range(r + 1, m):
@@ -127,7 +123,7 @@ def _echelon(W: List[List[int]]) -> Tuple[List[int], int]:
         prev = pivot
         piv_cols.append(c)
         r += 1
-    return piv_cols, sign
+    return piv_cols
 
 
 def _rref(W: List[List[int]], piv_cols: List[int]) -> List[List[Fraction]]:
@@ -145,8 +141,8 @@ def _rref(W: List[List[int]], piv_cols: List[int]) -> List[List[Fraction]]:
 
 
 def rank(A: Matrix) -> int:
-    W, _ = _integer_rows(A)
-    piv, _ = _echelon(W)
+    W = _integer_rows(A)
+    piv = _echelon(W)
     return len(piv)
 
 
@@ -156,8 +152,8 @@ def nullspace(A: Matrix) -> SubspaceBasis:
     back-solved pivot entries elsewhere.  Identical matrices always produce
     identical bases, which the reporting layers rely on."""
     ncols = len(A[0]) if A else 0
-    W, _ = _integer_rows(A)
-    piv, _ = _echelon(W)
+    W = _integer_rows(A)
+    piv = _echelon(W)
     R = _rref(W, piv)
     piv_set = set(piv)
     basis = []
@@ -178,8 +174,8 @@ def rref_rows(vectors: Sequence[Sequence[Fraction]]) -> Matrix:
     if not vectors:
         return ()
     A = tuple(tuple(Fraction(x) for x in row) for row in vectors)
-    W, _ = _integer_rows(A)
-    piv, _ = _echelon(W)
+    W = _integer_rows(A)
+    piv = _echelon(W)
     return tuple(tuple(row) for row in _rref(W, piv))
 
 
@@ -233,6 +229,7 @@ def symmetric_eigen_float(M: Matrix, cluster_gap: float = 1e-9) -> FloatSpectrum
     Symmetry is verified on the exact entries before any rounding;
     eigenvalues closer than cluster_gap merge into one cluster.
     """
+    import numpy as np
     n = len(M)
     for i in range(n):
         for j in range(i + 1, n):
@@ -259,6 +256,7 @@ def float_rank(M: np.ndarray, tolerance: float = 1e-9) -> int:
     A pivot below 1e-12 counts as zero; one in [1e-12, tolerance) is
     ambiguous and raises rather than guessing.
     """
+    import numpy as np
     A = np.array(M, dtype=float, copy=True)
     m, n = A.shape
     r = 0

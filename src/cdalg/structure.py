@@ -31,8 +31,6 @@ from .linalg import (Matrix, SubspaceBasis, eigen_kernel, float_rank,
                      nullspace, right_mult_matrix, rref_rows, stack_rows,
                      symmetric_eigen_float)
 
-import numpy as np
-
 
 class VerificationError(AssertionError):
     """A computed result contradicts an identity the theory guarantees.
@@ -491,6 +489,7 @@ def float_zero_divisor_test(a: Sequence[float], b: Sequence[float],
     """Zero-divisor test for float coordinate vectors (same power-of-two
     length).  Rank comes from pivoted elimination; a pivot inside
     [1e-12, tolerance) raises instead of guessing."""
+    import numpy as np
     if len(a) != len(b) or len(a) & (len(a) - 1) or not a:
         raise ValueError("inputs must share a power-of-two length")
     level = len(a).bit_length() - 1

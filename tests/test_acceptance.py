@@ -2,10 +2,13 @@
 
 Criteria 3 through 11 route through producer functions that return a
 deterministic report string; criterion 12 runs every producer a second
-time and requires byte-identical output.  Assertions live inside the
+time and requires byte-identical output, and the last test compares each
+report with its committed file under tests/golden/ (rewritten only by
+tests/golden/regenerate.py).  Assertions live inside the
 producers so a re-run exercises the full check, not just the formatting.
 """
 
+import pathlib
 import random
 import timeit
 
@@ -16,6 +19,11 @@ from cdalg import (Element, associator, couple_kernel_split, decompose,
 from cdalg.suites import run_suite
 
 _REPORTS = {}
+_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def golden_path(key):
+    return _GOLDEN / f"acceptance_{key:02d}.txt"
 
 
 def _recorded(key):
@@ -283,3 +291,10 @@ def test_criterion_11_special_divisors():
 def test_criterion_12_reports_reproducible():
     for key in sorted(_PRODUCERS):
         assert _PRODUCERS[key]() == _recorded(key), f"criterion {key} drifted"
+
+
+def test_reports_match_golden_files():
+    for key in sorted(_PRODUCERS):
+        path = golden_path(key)
+        assert _recorded(key) == path.read_bytes().decode("utf-8"), (
+            f"criterion {key} differs from {path.name}")

@@ -1,6 +1,7 @@
 """Front-end behavior: formatting, exit codes, files, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -247,3 +248,24 @@ def test_usage_error_exit_two():
     proc = subprocess.run([sys.executable, "-m", "cdalg.cli", "mul", "-n", "4"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_closed_stdout_exits_quietly():
+    # with block-buffered stdout, mul's one line fails at the final flush,
+    # and search's 16 kB of JSON lines fail inside the writer
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        procs = [subprocess.Popen([sys.executable, "-m", "cdalg.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=env)
+                 for argv in (["mul", "-n", "4", "e1", "e2"],
+                              ["search", "-n", "2", "--family", "random_rational",
+                               "--count", "60", "--format", "json"])]
+    finally:
+        os.close(write_end)
+    for proc in procs:
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141, err
+        assert "Traceback" not in err and "Exception ignored" not in err

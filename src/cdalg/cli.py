@@ -210,10 +210,24 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def _float_coords(text: str) -> tuple:
+    """Comma-separated doubles; a token float() rejects is a parse error
+    at its offset."""
+    coords = []
+    pos = 0
+    for token in text.split(","):
+        try:
+            coords.append(float(token))
+        except ValueError:
+            raise ParseError(f"not a number: {token!r}", pos) from None
+        pos += len(token) + 1
+    return tuple(coords)
+
+
 def _cmd_zdf(args) -> int:
     # float-path test: operands are comma-separated doubles of length 2^n
-    a = tuple(float(t) for t in args.a.split(","))
-    b = tuple(float(t) for t in args.b.split(","))
+    a = _float_coords(args.a)
+    b = _float_coords(args.b)
     rep = float_zero_divisor_test(a, b, args.tolerance)
     print(json.dumps({
         "pair_level": rep.pair_level,

@@ -2,9 +2,13 @@
 
 Exact paths work on tuples of Fractions via fraction-free (Bareiss)
 elimination, so ranks, nullspaces, projections and rational eigenspaces
-are computed without rounding.  Float paths (symmetric eigensolver, pivoted
-rank) use numpy and report explicit error bounds instead of exactness; they
-import numpy when called, so the exact paths never load it.
+are computed without rounding.  Every exact eigenspace comes from
+eigen_kernel, restricted ones too: the zero-divisor criterion and the
+bands of decompose ask for an eigenspace of L^2 inside the orthogonal
+complement of a few vectors, which is the nullspace of L^2 - mu*I with
+those vectors stacked below as rows.  Float paths (symmetric eigensolver,
+pivoted rank) use numpy and report explicit error bounds instead of
+exactness; they import numpy when called, so the exact paths never load it.
 """
 
 from __future__ import annotations
@@ -46,39 +50,10 @@ def right_mult_matrix(a: Element) -> OperatorMatrix:
     return matrix_of(a.level, lambda x: x * a)
 
 
-def identity(n: int, scale: Fraction = Fraction(1)) -> Matrix:
-    return tuple(tuple(scale if i == j else Fraction(0) for j in range(n))
-                 for i in range(n))
-
-
-def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     Bt = tuple(zip(*B))
     return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt)
                  for row in A)
-
-
-def mat_vec(A: Matrix, v: Sequence[Fraction]) -> Vector:
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
-
-
-def stack_rows(*blocks: Matrix) -> Matrix:
-    out: list = []
-    for b in blocks:
-        out.extend(b)
-    return tuple(out)
-
-
-def mat_to_float(A: Matrix) -> np.ndarray:
-    import numpy as np
-    return np.array([[float(x) for x in row] for row in A], dtype=float)
 
 
 # -- fraction-free elimination -------------------------------------------------
@@ -179,10 +154,15 @@ def rref_rows(vectors: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(tuple(row) for row in _rref(W, piv))
 
 
-def eigen_kernel(M: Matrix, mu: Fraction) -> SubspaceBasis:
-    """Exact eigenspace of M at rational mu, as nullspace(M - mu*I)."""
-    n = len(M)
-    return nullspace(mat_sub(M, identity(n, Fraction(mu))))
+def eigen_kernel(M: Matrix, mu: Fraction,
+                 orthogonal_to: Matrix = ()) -> SubspaceBasis:
+    """Exact eigenspace of square M at rational mu, restricted to the
+    orthogonal complement of the rows of orthogonal_to: the canonical
+    nullspace of M - mu*I with those rows stacked below.  Only the diagonal
+    is shifted."""
+    shifted = tuple(row[:i] + (row[i] - mu,) + row[i + 1:]
+                    for i, row in enumerate(M))
+    return nullspace(shifted + orthogonal_to)
 
 
 def project_out(v: Sequence[Fraction],
@@ -235,7 +215,7 @@ def symmetric_eigen_float(M: Matrix, cluster_gap: float = 1e-9) -> FloatSpectrum
         for j in range(i + 1, n):
             if M[i][j] != M[j][i]:
                 raise ValueError(f"matrix not symmetric at ({i},{j})")
-    Mf = mat_to_float(M)
+    Mf = np.array(M, dtype=float)
     lams, V = np.linalg.eigh(Mf)     # eigenvalues ascending
     residual = float(np.max(np.abs(Mf @ V - V * lams)))
     clusters: List[Tuple[float, int]] = []

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import Optional, Sequence, Tuple
 
 from .algebra import (Element, associator, common_denominator, format_element,
                       is_alternative, mul_coords, tilde)
 from .linalg import (Matrix, SubspaceBasis, eigen_kernel, float_rank,
-                     identity, left_mult_matrix, mat_add, mat_vec, matrix_of,
-                     nullspace, right_mult_matrix, rref_rows, stack_rows,
-                     symmetric_eigen_float)
+                     left_mult_matrix, matrix_of, nullspace, right_mult_matrix,
+                     rref_rows, symmetric_eigen_float)
 
 
 class VerificationError(AssertionError):
@@ -192,10 +191,10 @@ def couple_kernel_split(a: Element, b: Element) -> Tuple[Tuple[Element, ...], Tu
     """
     gens = couple_embedding(a, b)
     rows = _coord_rows(gens)
-    plus = nullspace(stack_rows(left_mult_matrix(a + b), rows))
-    minus = nullspace(stack_rows(left_mult_matrix(a - b), rows))
+    plus = nullspace(left_mult_matrix(a + b) + rows)
+    minus = nullspace(left_mult_matrix(a - b) + rows)
     s_matrix = matrix_of(a.level, lambda x: associator(a, x, b))
-    kernel = nullspace(stack_rows(s_matrix, rows))
+    kernel = nullspace(s_matrix + rows)
     if len(plus) != len(minus):
         raise VerificationError(
             f"kernel halves differ: {len(plus)} vs {len(minus)}")
@@ -267,8 +266,7 @@ def decompose(a: Element) -> Decomposition:
     L2 = matrix_of(a.level, lambda v: ap * (ap * v))
     ker_l = nullspace(left_mult_matrix(ap))
     # eigenvectors at -|a|^2 outside the quaternion copy
-    ker_t = nullspace(stack_rows(
-        mat_add(L2, identity(dim, Fraction(n2))), gen_rows))
+    ker_t = eigen_kernel(L2, -n2, gen_rows)
     exact_at = {
         0: len(ker_l),
         -int(n2): 4 + len(ker_t),
@@ -403,7 +401,6 @@ def zero_divisor_test(a: Element, b: Element) -> ZdReport:
                 "unequal-norm pair has a kernel, contradicting the norm condition")
         return ZdReport(a, b, pair.level, False, False, 0, None, couple, None)
     n2 = a.norm_sq()
-    dim = 1 << a.level
     s = a + b
     L2 = matrix_of(a.level, lambda v: s * (s * v))
     # criterion space: eigenvectors of L_{a+b}^2 at -2|a|^2, restricted to
@@ -411,8 +408,7 @@ def zero_divisor_test(a: Element, b: Element) -> ZdReport:
     # eigenvectors there for orthogonal couples, so the unrestricted test
     # would fire on every couple)
     quad_rows = _coord_rows((Element.unit(a.level), a, b, a * b))
-    criterion = nullspace(stack_rows(
-        mat_add(L2, identity(dim, 2 * n2)), quad_rows))
+    criterion = eigen_kernel(L2, -2 * n2, quad_rows)
     kernel = nullspace(left_mult_matrix(pair))
     criterion_hit = bool(criterion)
     is_zd = bool(kernel)
@@ -435,7 +431,7 @@ def zero_divisor_test(a: Element, b: Element) -> ZdReport:
             raise VerificationError("witness violates the first associator relation")
         if associator(a, x, b) != (2 * n2) * y:
             raise VerificationError("witness violates the second associator relation")
-        if Element(a.level, mat_vec(L2, y.coords)) != (-2 * n2) * y:
+        if s * (s * y) != (-2 * n2) * y:
             raise VerificationError("witness is not an eigenvector of the squared sum")
         if associator(s, s, y) != (-2 * a.inner(b)) * y:
             raise VerificationError("witness violates the alternator relation")
@@ -488,26 +484,29 @@ def float_zero_divisor_test(a: Sequence[float], b: Sequence[float],
                             tolerance: float = 1e-9) -> FloatZdReport:
     """Zero-divisor test for float coordinate vectors (same power-of-two
     length).  Rank comes from pivoted elimination; a pivot inside
-    [1e-12, tolerance) raises instead of guessing."""
+    [1e-12, tolerance) raises instead of guessing.  A coordinate that is
+    not finite, or a tolerance that is not finite and positive, raises
+    ValueError: no verdict could be trusted."""
     import numpy as np
     if len(a) != len(b) or len(a) & (len(a) - 1) or not a:
         raise ValueError("inputs must share a power-of-two length")
+    if not (isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, not {tolerance}")
     level = len(a).bit_length() - 1
     pair = tuple(float(c) for c in a) + tuple(float(c) for c in b)
+    if not all(map(isfinite, pair)):
+        raise ValueError("coordinates must be finite")
     dim = len(pair)
-    cols = []
-    for j in range(dim):
-        e = tuple(1.0 if i == j else 0.0 for i in range(dim))
-        cols.append(mul_coords(pair, e))
-    L = np.array(cols, dtype=float).T
-    nullity = dim - float_rank(L, tolerance)
     pp = mul_coords(pair, pair)
+    cols = []
     residual = 0.0
     for j in range(dim):
         e = tuple(1.0 if i == j else 0.0 for i in range(dim))
-        alt = tuple(p - q for p, q in
-                    zip(mul_coords(pp, e), mul_coords(pair, mul_coords(pair, e))))
+        col = mul_coords(pair, e)   # column j of L_pair
+        cols.append(col)
+        alt = (p - q for p, q in zip(mul_coords(pp, e), mul_coords(pair, col)))
         residual = max(residual, max(abs(c) for c in alt))
+    nullity = dim - float_rank(np.array(cols, dtype=float).T, tolerance)
     return FloatZdReport(level + 1, nullity, nullity > 0,
                          residual <= tolerance, residual, tolerance)
 

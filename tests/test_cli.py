@@ -125,6 +125,26 @@ def test_zdf_remark(capsys):
     assert payload["alternative"] is False
 
 
+@pytest.mark.parametrize("a, b, extra", [
+    ("0,nan,0,0", "0,0,1,0", ()),
+    ("0,inf,0,0", "0,0,1,0", ()),
+    ("0,1,0,0", "0,0,-inf,0", ()),
+    ("0,1,0,0", "0,0,1,0", ("--tolerance", "nan")),
+    ("0,1,0,0", "0,0,1,0", ("--tolerance", "inf")),
+    ("0,1,0,0", "0,0,1,0", ("--tolerance", "0")),
+])
+def test_zdf_refuses_non_finite_input(capsys, a, b, extra):
+    code, out, err = run(capsys, "zdf", a, b, *extra)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
+def test_zdf_unparsable_coordinate_is_parse_error(capsys):
+    code, out, err = run(capsys, "zdf", "0,1,x,0", "0,0,1,0")
+    assert code == 2 and out == ""
+    assert err == "parse error: not a number: 'x' (at position 4)\n"
+
+
 def test_search_to_file(tmp_path, capsys):
     target = tmp_path / "catalog.jsonl"
     code, out, _ = run(capsys, "search", "-n", "3", "--family", "basis_pairs",

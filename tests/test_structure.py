@@ -316,6 +316,19 @@ def test_float_zero_divisor_rejects_bad_shapes():
         float_zero_divisor_test((1.0, 0.0), (1.0, 0.0, 0.0, 0.0))
 
 
+def test_float_zero_divisor_rejects_non_finite():
+    one, zero = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            float_zero_divisor_test((0.0, bad, 0.0, 0.0), zero)
+        with pytest.raises(ValueError, match="finite"):
+            float_zero_divisor_test(one, (0.0, 0.0, bad, 0.0))
+    for tol in (math.nan, math.inf, 0.0, -1e-9):
+        with pytest.raises(ValueError, match="tolerance"):
+            float_zero_divisor_test(one, zero, tol)
+    assert float_zero_divisor_test(one, zero, 1e-9).tolerance == 1e-9
+
+
 # -- special triples and the octonion copy ---------------------------------------------
 
 def test_special_triple_golden():
